@@ -22,6 +22,7 @@ P-parity server and rebuilds just the slot region element-wise.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..checkpoint.differential import xor_bytes
@@ -41,7 +42,7 @@ from ..index.slot import (
     MetaField,
     slot_version,
 )
-from ..memory.address import GlobalAddress
+from ..memory.address import OFFSET_BITS, OFFSET_MASK, GlobalAddress
 from ..memory.slab import SIZE_UNIT, SizeClasser
 from ..obs.trace import NULL_SPAN
 from ..rdma.qp import rpc_call
@@ -70,6 +71,16 @@ PREFETCH_MARGIN = 8
 #: Precompiled slot layouts for bucket decoding (hot read path).
 _WIDE_SLOT = struct.Struct("<QQ")
 _COMPACT_SLOT = struct.Struct("<Q")
+
+#: Slot-word fields as int masks (the read path decodes words without
+#: building ``AtomicField``/``MetaField``/``GlobalAddress`` objects).
+_ADDR_MASK = (1 << 48) - 1
+_LEN_MASK = 0xFF
+#: Atomic-word bits that make a slot non-empty: ``fp`` and ``addr``
+#: (``AtomicField.empty`` ignores ``ver``).
+_OCCUPIED_MASK = (0xFF << 56) | _ADDR_MASK
+#: Byte of a little-endian slot word holding the fingerprint (bits 56-63).
+_FP_BYTE = 7
 
 
 class AcesoClient:
@@ -159,7 +170,7 @@ class AcesoClient:
         home = self._home(key)
         for attempt in range(RETRY_BUDGET):
             try:
-                record = yield from self._search_inner(key)
+                record = yield from self._search_inner(key, home)
             except NodeFailedError as exc:
                 self.stats.bump("search_interrupted")
                 self.cache.invalidate(key)
@@ -169,7 +180,8 @@ class AcesoClient:
                         yield self.master.milestone(node, "index_recovered")
                 continue
             self.stats.record_op("SEARCH", self.env.now - t0)
-            sp.set(retries=attempt)
+            if sp is not NULL_SPAN:
+                sp.set(retries=attempt)
             if record is None or record.tombstone:
                 self.stats.bump("search_miss")
                 raise KeyNotFoundError(key)
@@ -218,9 +230,10 @@ class AcesoClient:
 
     def _post_read(self, node: int, offset: int, length: int):
         mn = self.mns[node]
-        return self.fabric.read(self.nic, mn.nic, length,
-                                execute=lambda: mn.read_bytes(offset, length),
-                                track=self._track)
+        return self.fabric.post(
+            self.nic, mn.nic,
+            Verb(Opcode.READ, length, partial(mn.read_bytes, offset, length)),
+            "client", self._track)
 
     def _post_write(self, node: int, offset: int, data: bytes):
         mn = self.mns[node]
@@ -274,37 +287,48 @@ class AcesoClient:
         b1, b2 = index.candidate_buckets(key)
         mn = self.mns[home]
         size = index.bucket_size
-
-        def reader(bucket):
-            offset = index.bucket_offset(bucket)
-            return lambda: mn.read_bytes(offset, size)
-
-        verbs = [Verb(Opcode.READ, size, reader(b1)),
-                 Verb(Opcode.READ, size, reader(b2))]
+        read = mn.read_bytes
+        verbs = [Verb(Opcode.READ, size,
+                      partial(read, index.bucket_offset(b1), size)),
+                 Verb(Opcode.READ, size,
+                      partial(read, index.bucket_offset(b2), size))]
         raws = yield self.fabric.post_batch(self.nic, mn.nic, verbs,
                                             track=self._track)
         return [(b1, raws[0]), (b2, raws[1])]
 
-    def _find_slot(self, key: bytes, buckets):
-        """Locate *key* in raw bucket images.
+    def _find_slot(self, key: bytes, buckets) -> List[Tuple[int, int, int, int]]:
+        """Fingerprint candidates of *key* in raw bucket images, as
+        (bucket, slot, atomic_word, meta_word) in bucket then slot order
+        (meta = 0 when slots are compact).
 
-        Returns (match, free, matches): ``matches`` are all fingerprint
-        candidates as (bucket, slot, atomic_word, meta_word); ``free`` the
-        empty positions.
+        Only the fingerprint byte of each slot is scanned: fingerprints are
+        never 0, so a match is always an occupied slot.
         """
         matches = []
-        free: List[Tuple[int, int]] = []
         fp = fingerprint8(key)
+        wide = self.wide
+        step = 16 if wide else 8
         for bucket, raw in buckets:
-            words = self._bucket_words(raw)
-            for slot, (atomic_word, meta_word) in enumerate(words):
-                if atomic_word == 0:
-                    free.append((bucket, slot))
-                    continue
-                if (atomic_word >> 56) & 0xFF == fp:
-                    matches.append((bucket, slot, atomic_word, meta_word))
-        match = matches[0] if matches else None
-        return match, free, matches
+            fps = raw[_FP_BYTE::step]
+            slot = fps.find(fp)
+            while slot >= 0:
+                if wide:
+                    atomic_word, meta_word = _WIDE_SLOT.unpack_from(
+                        raw, slot * 16)
+                else:
+                    (atomic_word,) = _COMPACT_SLOT.unpack_from(raw, slot * 8)
+                    meta_word = 0
+                matches.append((bucket, slot, atomic_word, meta_word))
+                slot = fps.find(fp, slot + 1)
+        return matches
+
+    def _empty_slots(self, buckets) -> List[Tuple[int, int]]:
+        """Empty (bucket, slot) positions of raw bucket images."""
+        return [(bucket, slot)
+                for bucket, raw in buckets
+                for slot, (atomic_word, _meta) in enumerate(
+                    self._bucket_words(raw))
+                if atomic_word == 0]
 
     def _bucket_words(self, raw: bytes) -> List[Tuple[int, int]]:
         """(atomic, meta) word pairs of a raw bucket image (meta = 0 when
@@ -317,26 +341,27 @@ class AcesoClient:
     # SEARCH path
     # ------------------------------------------------------------------
 
-    def _search_inner(self, key: bytes) -> Generator:
-        home = self._home(key)
-        entry = self.cache.lookup(key) if self.cache.enabled else None
-        if self.cache.enabled:
+    def _search_inner(self, key: bytes, home: int) -> Generator:
+        cache = self.cache
+        if cache.enabled:
+            entry = cache.lookup(key)
             self._cache_metric(entry is not None)
-        if entry is not None and self.cache.policy == "addr_value":
-            record = yield from self._search_cached_addr(key, home, entry)
-            return record
-        if entry is not None and self.cache.policy == "value_only":
-            record = yield from self._search_cached_value(key, home, entry)
-            return record
+            if entry is not None:
+                if cache.policy == "addr_value":
+                    record = yield from self._search_cached_addr(key, home,
+                                                                 entry)
+                else:
+                    record = yield from self._search_cached_value(key, home,
+                                                                  entry)
+                return record
         record = yield from self._search_via_index(key, home)
         return record
 
     def _search_cached_addr(self, key: bytes, home: int,
                             entry: CacheEntry) -> Generator:
         """Aceso's cache hit: KV read + 16 B slot read, in parallel."""
-        atomic = AtomicField.unpack(entry.atomic_word)
         kv_len = entry.len_units * SIZE_UNIT
-        kv_ev = self._kv_read_event(atomic.addr, kv_len)
+        kv_ev = self._kv_read_event(entry.atomic_word & _ADDR_MASK, kv_len)
         slot_size = 16 if self.wide else 8
         slot_ev = self._post_read(entry.slot_node, entry.slot_offset, slot_size)
         outcome = yield self.env.all_of([kv_ev, slot_ev])
@@ -352,8 +377,7 @@ class AcesoClient:
             return record
         # Slot changed: read the new KV directly — no bucket query needed.
         self.stats.bump("cache_slot_changed")
-        new_atomic = AtomicField.unpack(current_word)
-        if new_atomic.empty:
+        if not current_word & _OCCUPIED_MASK:
             # The slot was vacated (e.g. recovery re-placed the key in a
             # different free slot): only a full query is authoritative.
             self.cache.invalidate(key)
@@ -361,10 +385,9 @@ class AcesoClient:
             return record
         meta_word = (int.from_bytes(slot_raw[8:16], "little")
                      if self.wide else 0)
-        len_units = (MetaField.unpack(meta_word).len_units
-                     if self.wide else entry.len_units)
+        len_units = meta_word & _LEN_MASK if self.wide else entry.len_units
         record, raw = yield from self._read_kv_checked(
-            new_atomic.addr, max(len_units, 1) * SIZE_UNIT, key
+            current_word & _ADDR_MASK, max(len_units, 1) * SIZE_UNIT, key
         )
         if record is not None:
             entry.atomic_word = current_word
@@ -383,7 +406,7 @@ class AcesoClient:
         slot address to check with a single-word read, so the whole
         bucket comes back (the read amplification §3.5.1 removes)."""
         atomic_word = entry.atomic_word
-        addr = atomic_word & ((1 << 48) - 1)
+        addr = atomic_word & _ADDR_MASK
         kv_len = entry.len_units * SIZE_UNIT
         kv_ev = self._kv_read_event(addr, kv_len)
         mn = self.mns[home]
@@ -395,8 +418,8 @@ class AcesoClient:
         bucket_ev = self._post_read(home, offset, size)
         outcome = yield self.env.all_of([kv_ev, bucket_ev])
         kv_raw, raw = outcome
-        match, _free, _all = self._find_slot(key, [(bucket, raw)])
-        if match is not None and match[2] == atomic_word:
+        matches = self._find_slot(key, [(bucket, raw)])
+        if matches and matches[0][2] == atomic_word:
             record = self._parse_or_none(kv_raw, key)
             if record is not None:
                 return record
@@ -415,25 +438,19 @@ class AcesoClient:
 
     def _resolve_candidates(self, key: bytes, home: int, buckets) -> Generator:
         """Chase fingerprint candidates until the key matches."""
-        _match, _free, matches = self._find_slot(key, buckets)
-        index = self._index_of(home)
-        for bucket, slot, atomic_word, meta_word in matches:
-            atomic = AtomicField.unpack(atomic_word) if self.wide else None
-            if self.wide:
-                addr = atomic.addr
-                len_units = MetaField.unpack(meta_word).len_units
-            else:
-                addr = atomic_word & ((1 << 48) - 1)
-                len_units = (atomic_word >> 48) & 0xFF
+        wide = self.wide
+        for bucket, slot, atomic_word, meta_word in self._find_slot(
+                key, buckets):
+            len_units = max((meta_word if wide else atomic_word >> 48)
+                            & _LEN_MASK, 1)
             record, _raw = yield from self._read_kv_checked(
-                addr, max(len_units, 1) * SIZE_UNIT, key
+                atomic_word & _ADDR_MASK, len_units * SIZE_UNIT, key
             )
             if record is not None:
                 self.cache.store(key, CacheEntry(
-                    atomic_word=atomic_word, len_units=max(len_units, 1),
-                    meta_word=meta_word, slot_node=home,
-                    slot_offset=index.slot_offset(bucket, slot),
-                    bucket=bucket, slot=slot,
+                    atomic_word, len_units, meta_word, home,
+                    self._index_of(home).slot_offset(bucket, slot),
+                    bucket, slot,
                 ))
                 return record
         return None
@@ -445,35 +462,40 @@ class AcesoClient:
         if raw is None:
             return None
         record = parse_kv(raw)
-        if record is None or record.key != key or record.invalidated:
+        if (record is None or record.key != key
+                or record.slot_version == INVALID_SLOT_VERSION):
             return None
         return record
 
     def _kv_read_event(self, packed_addr: int, length: int):
-        ga = GlobalAddress.unpack(packed_addr)
-        return self._post_read(ga.node_id, ga.offset, length)
+        """READ of a packed 48-bit KV address (node id above the offset)."""
+        return self._post_read(packed_addr >> OFFSET_BITS,
+                               packed_addr & OFFSET_MASK, length)
 
     def _read_kv_checked(self, packed_addr: int, length: int,
                          key: bytes) -> Generator:
-        """Read a KV pair, tolerating a stale ``len`` (§3.2.2) and lost
-        blocks (degraded read)."""
-        ga = GlobalAddress.unpack(packed_addr)
+        """Read a KV pair at a packed 48-bit address, tolerating a stale
+        ``len`` (§3.2.2) and lost blocks (degraded read)."""
+        node = packed_addr >> OFFSET_BITS
+        offset = packed_addr & OFFSET_MASK
         try:
-            raw = yield self._post_read(ga.node_id, ga.offset, length)
+            raw = yield self._post_read(node, offset, length)
         except NodeFailedError:
             with self._phase("degraded_read"):
-                raw = yield from self._degraded_read(ga, length)
+                raw = yield from self._degraded_read(
+                    GlobalAddress(node, offset), length)
             if raw is None:
                 return None, None
         record = parse_kv(raw)
         if record is None and length < 4096:
             # Possibly a stale length: re-read with a generous size.
             try:
-                raw = yield self._post_read(ga.node_id, ga.offset, length * 4)
+                raw = yield self._post_read(node, offset, length * 4)
             except (NodeFailedError, IndexError):
                 return None, None
             record = parse_kv(raw)
-        if record is None or record.key != key or record.invalidated:
+        if (record is None or record.key != key
+                or record.slot_version == INVALID_SLOT_VERSION):
             return None, raw
         return record, raw
 
@@ -781,9 +803,9 @@ class AcesoClient:
             return (entry.bucket, entry.slot, entry.atomic_word,
                     entry.meta_word, False)
         buckets = yield from self._query_buckets(key, home)
-        _match, free, matches = self._find_slot(key, buckets)
         # Verify fingerprint candidates actually hold this key.
-        for bucket, slot, atomic_word, meta_word in matches:
+        for bucket, slot, atomic_word, meta_word in self._find_slot(
+                key, buckets):
             addr = atomic_word & ((1 << 48) - 1)
             len_units = ((meta_word & 0xFF) if self.wide
                          else (atomic_word >> 48) & 0xFF)
@@ -794,6 +816,7 @@ class AcesoClient:
                 return bucket, slot, atomic_word, meta_word, False
         if op in ("UPDATE", "DELETE"):
             return None
+        free = self._empty_slots(buckets)
         if not free:
             raise IndexFullError(f"no free slot for {key!r}")
         # Spread concurrent inserts across the free positions (picking the

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import Optional
 
 from ..index.slot import INVALID_SLOT_VERSION
@@ -75,15 +74,39 @@ def wv_consistent(buf: bytes) -> bool:
     return buf[0] != 0 and buf[0] == buf[-1]
 
 
-@dataclass(frozen=True)
 class KVRecord:
-    """A decoded KV pair."""
+    """A decoded KV pair.
 
-    key: bytes
-    value: bytes
-    slot_version: int
-    write_version: int
-    tombstone: bool = False
+    A plain ``__slots__`` class: one is built for every KV read, so its
+    constructor is on the SEARCH hot path.  Treat instances as immutable.
+    """
+
+    __slots__ = ("key", "value", "slot_version", "write_version",
+                 "tombstone")
+
+    def __init__(self, key: bytes, value: bytes, slot_version: int,
+                 write_version: int, tombstone: bool = False):
+        self.key = key
+        self.value = value
+        self.slot_version = slot_version
+        self.write_version = write_version
+        self.tombstone = tombstone
+
+    def _astuple(self) -> tuple:
+        return (self.key, self.value, self.slot_version, self.write_version,
+                self.tombstone)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KVRecord):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return ("KVRecord(key={!r}, value={!r}, slot_version={!r}, "
+                "write_version={!r}, tombstone={!r})".format(*self._astuple()))
 
     @property
     def invalidated(self) -> bool:
@@ -120,23 +143,27 @@ def parse_kv(buf: bytes) -> Optional[KVRecord]:
     and non-zero (§3.4.2); invalidated records (version -1) parse fine and
     are flagged via :attr:`KVRecord.invalidated`.
     """
-    if len(buf) < HEADER_SIZE + 1:
+    size = len(buf)
+    if size < HEADER_SIZE + 1:
         return None
     wv_front, flags, key_len, val_len, version = _HEADER.unpack_from(buf, 0)
     if wv_front == 0:
         return None  # never written
-    wv_back = buf[-1]
-    if wv_back != wv_front:
+    if buf[-1] != wv_front:
         return None  # torn write
-    if HEADER_SIZE + key_len + val_len + 1 > len(buf):
+    end = HEADER_SIZE + key_len + val_len
+    if end + 1 > size:
         return None  # corrupt lengths
-    key = bytes(buf[HEADER_SIZE:HEADER_SIZE + key_len])
-    value = bytes(buf[HEADER_SIZE + key_len:HEADER_SIZE + key_len + val_len])
-    if not key:
+    if not key_len:
         return None
+    if type(buf) is not bytes:
+        buf = bytes(buf)
     (crc,) = _CRC.unpack_from(buf, _HEADER.size)
-    if crc != _payload_crc(flags, key, value):
+    # ``_payload_crc`` over the stored bytes: buf[1:3] is the flags byte
+    # then the low byte of the little-endian key length, and the key and
+    # value sit back to back after the header.
+    if crc != zlib.crc32(buf[HEADER_SIZE:end], zlib.crc32(buf[1:3])):
         return None  # corrupted (e.g. a raced stripe reconstruction)
-    return KVRecord(key=key, value=value, slot_version=version,
-                    write_version=wv_front,
-                    tombstone=bool(flags & FLAG_TOMBSTONE))
+    key_end = HEADER_SIZE + key_len
+    return KVRecord(buf[HEADER_SIZE:key_end], buf[key_end:end], version,
+                    wv_front, bool(flags & FLAG_TOMBSTONE))

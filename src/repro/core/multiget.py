@@ -173,8 +173,7 @@ def search_many(client, keys: Sequence[bytes], sp=NULL_SPAN) -> Generator:
             if raw1 is None or raw2 is None:
                 fallback.append(key)
                 continue
-            _m, _free, matches = client._find_slot(
-                key, [(b1, raw1), (b2, raw2)])
+            matches = client._find_slot(key, [(b1, raw1), (b2, raw2)])
             if not matches:
                 resolved.append(key)
                 client.stats.bump("search_miss")

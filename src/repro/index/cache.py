@@ -17,13 +17,11 @@ fabric traffic by themselves.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["CacheEntry", "IndexCache"]
 
 
-@dataclass
 class CacheEntry:
     """What a client remembers about one key's slot.
 
@@ -32,15 +30,28 @@ class CacheEntry:
     cached Atomic word guarantees the cached Meta (epoch) is still current
     (any intervening update would have changed the Atomic word's version
     bits and failed the CAS).
+
+    Entries live as long as the client's cache, so the class uses
+    ``__slots__`` (no per-entry ``__dict__`` for the collector to walk).
     """
 
-    atomic_word: int                # last-seen Atomic (or compact slot) word
-    len_units: int                  # KV size class (64 B units)
-    meta_word: int = 0              # last-seen Meta word (wide slots)
-    slot_node: int = -1             # where the slot lives (addr_value only)
-    slot_offset: int = -1           # Atomic-word offset (addr_value only)
-    bucket: int = -1
-    slot: int = -1
+    __slots__ = ("atomic_word", "len_units", "meta_word", "slot_node",
+                 "slot_offset", "bucket", "slot")
+
+    def __init__(self, atomic_word: int, len_units: int, meta_word: int = 0,
+                 slot_node: int = -1, slot_offset: int = -1,
+                 bucket: int = -1, slot: int = -1):
+        self.atomic_word = atomic_word  # last-seen Atomic (or compact) word
+        self.len_units = len_units      # KV size class (64 B units)
+        self.meta_word = meta_word      # last-seen Meta word (wide slots)
+        self.slot_node = slot_node      # where the slot lives
+        self.slot_offset = slot_offset  # Atomic-word offset
+        self.bucket = bucket
+        self.slot = slot
+
+    def __repr__(self) -> str:
+        return "CacheEntry(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
 class IndexCache:
@@ -50,23 +61,22 @@ class IndexCache:
         if policy not in ("addr_value", "value_only", "none"):
             raise ValueError(f"unknown cache policy {policy!r}")
         self.policy = policy
+        #: Whether the cache is in use (fixed by the policy).
+        self.enabled = policy != "none"
         self.capacity = capacity
         self._entries: "OrderedDict[bytes, CacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.policy != "none"
-
     def lookup(self, key: bytes) -> Optional[CacheEntry]:
         if not self.enabled:
             return None
-        entry = self._entries.get(key)
+        entries = self._entries
+        entry = entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        entries.move_to_end(key)
         self.hits += 1
         return entry
 
@@ -81,10 +91,11 @@ class IndexCache:
         """
         if not self.enabled:
             return
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        entries[key] = entry
+        entries.move_to_end(key)
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
 
     def invalidate(self, key: bytes) -> None:
         self._entries.pop(key, None)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-__all__ = ["GlobalAddress", "NODE_BITS", "OFFSET_BITS", "NULL_ADDR"]
+__all__ = ["GlobalAddress", "NODE_BITS", "OFFSET_BITS", "OFFSET_MASK",
+           "NULL_ADDR"]
 
 NODE_BITS = 8
 OFFSET_BITS = 40
-_OFFSET_MASK = (1 << OFFSET_BITS) - 1
+OFFSET_MASK = (1 << OFFSET_BITS) - 1
 _NODE_MASK = (1 << NODE_BITS) - 1
 
 #: Packed value representing "no address" (offset 0 on node 0 is reserved).
@@ -29,7 +30,7 @@ class GlobalAddress(NamedTuple):
     def pack(self) -> int:
         if not 0 <= self.node_id <= _NODE_MASK:
             raise ValueError(f"node_id out of range: {self.node_id}")
-        if not 0 <= self.offset <= _OFFSET_MASK:
+        if not 0 <= self.offset <= OFFSET_MASK:
             raise ValueError(f"offset out of range: {self.offset}")
         return (self.node_id << OFFSET_BITS) | self.offset
 
@@ -38,7 +39,7 @@ class GlobalAddress(NamedTuple):
         if not 0 <= packed < (1 << (NODE_BITS + OFFSET_BITS)):
             raise ValueError(f"packed address out of range: {packed:#x}")
         return cls(node_id=(packed >> OFFSET_BITS) & _NODE_MASK,
-                   offset=packed & _OFFSET_MASK)
+                   offset=packed & OFFSET_MASK)
 
     def __add__(self, delta: int) -> "GlobalAddress":  # type: ignore[override]
         return GlobalAddress(self.node_id, self.offset + delta)

@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..errors import AllocationError
+from ..errors import AllocationError, NodeFailedError
 from .address import GlobalAddress
 
 __all__ = ["Role", "FreeBitmap", "BlockMeta", "BlockStore"]
@@ -305,10 +305,22 @@ class BlockStore:
         return buf
 
     def read(self, offset: int, length: int) -> bytes:
+        """Bytes at a node-local offset within one block.
+
+        Reading a block whose contents are lost (``valid`` cleared by a
+        crash, until recovery rebuilds it) raises :class:`NodeFailedError`.
+        """
         block_id, intra = self.locate(offset)
+        if not self.meta[block_id].valid:
+            raise NodeFailedError(self.node_id, f"block {block_id} lost")
         if intra + length > self.block_size:
             raise IndexError("read crosses block boundary")
-        return bytes(self.buffer(block_id)[intra:intra + length])
+        # ``locate`` bounded the id, so ``buffer`` (and its id check) is
+        # only needed to materialise a block on its first access.
+        buf = self._buffers.get(block_id)
+        if buf is None:
+            buf = self.buffer(block_id)
+        return bytes(buf[intra:intra + length])
 
     def write(self, offset: int, data: bytes) -> None:
         block_id, intra = self.locate(offset)

@@ -31,15 +31,20 @@ class MemoryRegion:
 
     def _check(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:
-            raise IndexError(
-                f"{self.name}: access [{offset}, {offset + length}) outside "
-                f"[0, {self.size})"
-            )
+            raise self._out_of_bounds(offset, length)
+
+    def _out_of_bounds(self, offset: int, length: int) -> IndexError:
+        return IndexError(
+            f"{self.name}: access [{offset}, {offset + length}) outside "
+            f"[0, {self.size})"
+        )
 
     # -- bulk --------------------------------------------------------------
 
     def read(self, offset: int, length: int) -> bytes:
-        self._check(offset, length)
+        # ``_check`` inlined: every index-slot READ lands here.
+        if offset < 0 or length < 0 or offset + length > self.size:
+            raise self._out_of_bounds(offset, length)
         return bytes(self._buf[offset:offset + length])
 
     def write(self, offset: int, data: bytes) -> None:

@@ -15,6 +15,7 @@ A verb posted from ``src`` to ``dst``:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import NodeFailedError
@@ -32,6 +33,24 @@ except ImportError:
     _VerbFinish = None
 
 __all__ = ["Fabric"]
+
+_READ = Opcode.READ
+
+
+def _finish(alive: Dict[int, bool], dst_id: int, execute):
+    """Resolve one posted verb at completion time: fail if the destination
+    died in flight, else run the verb's side effect."""
+    if not alive.get(dst_id, False):
+        raise NodeFailedError(dst_id, "in flight")
+    return execute() if execute is not None else None
+
+
+def _finish_batch(alive: Dict[int, bool], dst_id: int,
+                  verbs: Sequence[Verb]) -> list:
+    """:func:`_finish` for a doorbell-batched group: every verb's result."""
+    if not alive.get(dst_id, False):
+        raise NodeFailedError(dst_id, "in flight")
+    return [v.execute() if v.execute else None for v in verbs]
 
 
 class Fabric:
@@ -92,13 +111,16 @@ class Fabric:
         :class:`Deferred` that runs the verb's side effect at completion.
         """
         env = self.env
-        rtt = src.config.rtt
+        config = src.config
+        rtt = config.rtt
         alive = self._alive
-        if not alive.get(dst.node_id, False):
+        dst_id = dst.node_id
+        if not alive.get(dst_id, False):
             return self._dead_post(dst, rtt)
 
         wire = verb.payload + WIRE_HEADER
-        if verb.opcode.is_atomic:
+        opcode = verb.opcode
+        if opcode.is_atomic:
             # The destination performs a PCIe read-modify-write.
             dst_key = (wire, 0, 1)
         else:
@@ -107,7 +129,12 @@ class Fabric:
         if dst_service is None:
             dst_service = dst.service_time(wire, doorbells=dst_key[1],
                                            atomics=dst_key[2])
-        src_key = (verb.src_size(src.config.inline_max), 1, 0)
+        if opcode is _READ:
+            # ``src_size`` of a READ is its wire size (the response
+            # carries the payload), so both sides share one memo key.
+            src_key = dst_key
+        else:
+            src_key = (verb.src_size(config.inline_max), 1, 0)
         src_service = src._svc_cache.get(src_key)
         if src_service is None:
             src_service = src.service_time(src_key[0])
@@ -127,19 +154,12 @@ class Fabric:
         t_dst = now + (dst._pipe.submit_at(dst_service) - now)
         t_done = (t_src if t_src > t_dst else t_dst) + rtt
         execute = verb.execute
-        dst_id = dst.node_id
 
         if _VerbFinish is not None:
             return Deferred(env, t_done,
                             _VerbFinish(alive, dst_id, execute,
                                         NodeFailedError))
-
-        def finish():
-            if not alive.get(dst_id, False):
-                raise NodeFailedError(dst_id, "in flight")
-            return execute() if execute is not None else None
-
-        return Deferred(env, t_done, finish)
+        return Deferred(env, t_done, partial(_finish, alive, dst_id, execute))
 
     def post_batch(self, src: RNIC, dst: RNIC, verbs: Sequence[Verb],
                    traffic_class: str = "client",
@@ -175,8 +195,12 @@ class Fabric:
         dst_bytes = 0
         atomics = 0
         for v in verbs:
+            wire = v.payload + WIRE_HEADER
+            dst_bytes += wire
+            if v.opcode is _READ:
+                src_bytes += wire     # == v.src_size(inline_max)
+                continue
             src_bytes += v.src_size(inline_max)
-            dst_bytes += v.payload + WIRE_HEADER
             if v.opcode.is_atomic:
                 atomics += 1
         bbc = self.bytes_by_class
@@ -184,10 +208,17 @@ class Fabric:
         if src.config.doorbell_batching:
             # True doorbell batching: one op cost for the group plus the
             # per-byte cost of everything on the wire, on both sides.
+            # Both look-ups go to the NICs' service-time memos first,
+            # like ``post`` (keys as ``RNIC.service_time`` builds them).
             doorbells = 1 if atomics < len(verbs) else 0
-            src_service = src.service_time(src_bytes, doorbells=1)
-            dst_service = dst.service_time(dst_bytes, doorbells=doorbells,
-                                           atomics=atomics)
+            src_service = src._svc_cache.get((src_bytes, 1, 0))
+            if src_service is None:
+                src_service = src.service_time(src_bytes, doorbells=1)
+            dst_service = dst._svc_cache.get((dst_bytes, doorbells, atomics))
+            if dst_service is None:
+                dst_service = dst.service_time(dst_bytes,
+                                               doorbells=doorbells,
+                                               atomics=atomics)
         else:
             src_service = src.service_time(src_bytes,
                                            doorbells=len(verbs))
@@ -212,14 +243,8 @@ class Fabric:
         t_src = now + (src._pipe.submit_at(src_service) - now)
         t_dst = now + (dst._pipe.submit_at(dst_service) - now)
         t_done = (t_src if t_src > t_dst else t_dst) + rtt
-        dst_id = dst.node_id
-
-        def finish():
-            if not alive.get(dst_id, False):
-                raise NodeFailedError(dst_id, "in flight")
-            return [v.execute() if v.execute else None for v in verbs]
-
-        return Deferred(env, t_done, finish)
+        return Deferred(env, t_done,
+                        partial(_finish_batch, alive, dst.node_id, verbs))
 
     def _post_traced(self, src: RNIC, dst: RNIC, verbs: Sequence[Verb],
                      src_service: float, dst_service: float, dst_bytes: int,
@@ -330,8 +355,8 @@ class Fabric:
     def read(self, src: RNIC, dst: RNIC, size: int, execute=None,
              traffic_class: str = "client",
              track: Optional[str] = None) -> Event:
-        return self.post(src, dst, Verb(Opcode.READ, size, execute),
-                         traffic_class=traffic_class, track=track)
+        return self.post(src, dst, Verb(_READ, size, execute),
+                         traffic_class, track)
 
     def write(self, src: RNIC, dst: RNIC, size: int, execute=None,
               traffic_class: str = "client",

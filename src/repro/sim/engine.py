@@ -262,7 +262,7 @@ class Process(Event):
     generator returns (value = the ``return`` value) or raises.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "_waiting_on", "name", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         super().__init__(env)
@@ -271,10 +271,12 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        #: ``_resume`` bound once: it is registered on every yielded event.
+        self._resume_cb = self._resume
         # Kick off at the current time.
         init = Event(env)
         init.succeed()
-        init.add_callback(self._resume)
+        init.add_callback(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -294,44 +296,47 @@ class Process(Event):
         if self._triggered:
             return
         self._waiting_on = None
-        self._step(event)
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
+        """Step the generator with *event*'s outcome (the wake-up hot
+        path: event state is read from the slots, not the properties)."""
         if self._triggered:
             return
-        if self._waiting_on is not None and event is not self._waiting_on:
-            return  # stale wakeup (we were interrupted while waiting)
-        self._waiting_on = None
-        self._step(event)
-
-    def _step(self, event: Event) -> None:
+        waiting_on = self._waiting_on
+        if waiting_on is not None:
+            if event is not waiting_on:
+                return  # stale wakeup (we were interrupted while waiting)
+            self._waiting_on = None
         try:
-            if event.ok:
-                target = self._generator.send(event.value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.throw(event.value)
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._triggered = True
-            self._ok = False
-            self._value = exc
-            self.env.failed.append(self)
-            self.env._queue_trigger(self)
+            self._fail_step(exc)
             return
         if not isinstance(target, Event):
-            exc = SimulationError(
+            self._fail_step(SimulationError(
                 f"process {self.name!r} yielded non-event: {target!r}"
-            )
-            self._triggered = True
-            self._ok = False
-            self._value = exc
-            self.env.failed.append(self)
-            self.env._queue_trigger(self)
+            ))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)
+        elif callbacks is not _CANCELLED:
+            callbacks.append(self._resume_cb)
+
+    def _fail_step(self, exc: BaseException) -> None:
+        self._triggered = True
+        self._ok = False
+        self._value = exc
+        self.env.failed.append(self)
+        self.env._queue_trigger(self)
 
 
 class AllOf(Event):
@@ -350,18 +355,19 @@ class AllOf(Event):
         if self._pending == 0:
             self.succeed([])
             return
+        on_child = self._on_child
         for ev in self._events:
-            ev.add_callback(self._on_child)
+            ev.add_callback(on_child)
 
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed([ev.value for ev in self._events])
+            self.succeed([ev._value for ev in self._events])
 
 
 class AnyOf(Event):

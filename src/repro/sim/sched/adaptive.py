@@ -98,7 +98,11 @@ class AdaptiveScheduler:
         self._n = seq + 1
         heap = self._heap
         heappush(heap, (when, seq, item))
-        if len(heap) - len(self._cancelled) >= self._threshold:
+        threshold = self._threshold
+        # The raw heap size bounds the live count, so the tombstone set
+        # is only consulted once the heap itself reaches the threshold.
+        if (len(heap) >= threshold
+                and len(heap) - len(self._cancelled) >= threshold):
             self._migrate()
         return seq
 

@@ -30,7 +30,11 @@ def percentile(samples: List[float], p: float) -> float:
         return float("nan")
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile out of range: {p}")
-    data = sorted(samples)
+    return _sorted_percentile(sorted(samples), p)
+
+
+def _sorted_percentile(data: List[float], p: float) -> float:
+    """:func:`percentile` of non-empty, already sorted *data*."""
     if len(data) == 1:
         return data[0]
     rank = (p / 100.0) * (len(data) - 1)
@@ -118,15 +122,19 @@ class StatsRegistry:
     def record_op(self, name: str, latency: float, *, cas: int = 0,
                   retries: int = 0) -> None:
         if _FLIGHT.enabled:
+            env = self._env
             _FLIGHT.events.append(
-                (self._now(), "op." + name, round(latency * 1e6, 3)))
+                (env.now if env is not None else 0.0, "op." + name,
+                 round(latency * 1e6, 3)))
         if not self.recording:
             return
         stats = self.per_op[name]
         stats.ops += 1
-        stats.cas_issued += cas
-        stats.retries += retries
-        stats.latency.record(latency)
+        if cas:
+            stats.cas_issued += cas
+        if retries:
+            stats.retries += retries
+        stats.latency.samples.append(latency)
 
     def record_error(self, name: str) -> None:
         if _FLIGHT.enabled:
@@ -183,14 +191,22 @@ class StatsRegistry:
         """Flat dict of headline numbers per op type (for reports)."""
         window = self._safe_window()
         out: Dict[str, Dict[str, float]] = {}
+        nan = float("nan")
         for name, stats in sorted(self.per_op.items()):
+            # One sort per op type serves all four percentiles.
+            data = sorted(stats.latency.samples)
+            if data:
+                p50, p95, p99, p999 = (_sorted_percentile(data, p)
+                                       for p in (50.0, 95.0, 99.0, 99.9))
+            else:
+                p50 = p95 = p99 = p999 = nan
             out[name] = {
                 "ops": stats.ops,
                 "throughput": stats.throughput(window),
-                "p50_us": stats.latency.p50() * 1e6,
-                "p95_us": stats.latency.p95() * 1e6,
-                "p99_us": stats.latency.p99() * 1e6,
-                "p999_us": stats.latency.p999() * 1e6,
+                "p50_us": p50 * 1e6,
+                "p95_us": p95 * 1e6,
+                "p99_us": p99 * 1e6,
+                "p999_us": p999 * 1e6,
                 "mean_cas": stats.cas_issued / stats.ops if stats.ops else 0.0,
                 "retries": stats.retries,
                 "errors": stats.errors,

@@ -9,8 +9,8 @@ over MNs and index buckets).
 
 from __future__ import annotations
 
-import math
 import random
+from functools import lru_cache
 from typing import Optional
 
 from ..index.hashing import hash64
@@ -35,11 +35,22 @@ class ZipfianGenerator:
         self.zetan = self._zeta(n, theta)
         self.zeta2 = self._zeta(2, theta)
         self.alpha = 1.0 / (1.0 - theta)
-        self.eta = ((1 - (2.0 / n) ** (1 - theta))
-                    / (1 - self.zeta2 / self.zetan))
+        if n > 2:
+            self.eta = ((1 - (2.0 / n) ** (1 - theta))
+                        / (1 - self.zeta2 / self.zetan))
+            #: ``uz`` below this bound draws rank 1 (the YCSB shortcut).
+            self._rank1_bound = 1.0 + 0.5 ** theta
+        else:
+            # Ranks 0 and 1 cover the space, so ``next_rank`` must never
+            # reach the ``eta`` formula (its denominator is zero at n == 2).
+            self.eta = 0.0
+            self._rank1_bound = float("inf")
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def _zeta(n: int, theta: float) -> float:
+        """Generalised harmonic number H(n, theta); memoised because every
+        client stream over one key space needs the same O(n) sum."""
         return sum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def next_rank(self) -> int:
@@ -47,7 +58,7 @@ class ZipfianGenerator:
         uz = u * self.zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < self._rank1_bound:
             return 1
         return int(self.n * (self.eta * u - self.eta + 1) ** self.alpha)
 

@@ -1,6 +1,7 @@
 """Tests for statistics helpers."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -112,6 +113,29 @@ def test_registry_summary_shape():
     assert summary["INSERT"]["ops"] == 1
     assert summary["INSERT"]["mean_cas"] == 2
     assert summary["INSERT"]["throughput"] == pytest.approx(1.0)
+
+
+def test_registry_summary_percentiles_match_percentile():
+    """``summary`` sorts each op's samples once for all four
+    percentiles; the values must equal :func:`percentile`'s."""
+    rng = random.Random(3)
+    reg = StatsRegistry()
+    reg.open_window(0.0)
+    samples = {"SEARCH": [rng.expovariate(1e5) for _ in range(997)],
+               "UPDATE": [rng.random() * 1e-4 for _ in range(3)],
+               "DELETE": [2e-6]}
+    for name, values in samples.items():
+        for value in values:
+            reg.record_op(name, value)
+    reg.record_error("INSERT")      # an op type with no latency samples
+    reg.close_window(1.0)
+    summary = reg.summary()
+    for name, values in samples.items():
+        for key, p in (("p50_us", 50.0), ("p95_us", 95.0),
+                       ("p99_us", 99.0), ("p999_us", 99.9)):
+            assert summary[name][key] == percentile(values, p) * 1e6
+    assert all(math.isnan(summary["INSERT"][key])
+               for key in ("p50_us", "p95_us", "p99_us", "p999_us"))
 
 
 def test_registry_total_throughput():

@@ -50,6 +50,23 @@ def test_zipf_lower_theta_less_skewed():
     assert skews[0.99] > skews[0.5]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zipf_tiny_key_spaces(n):
+    gen = ZipfianGenerator(n, rng=random.Random(n))
+    ranks = {gen.next_rank() for _ in range(500)}
+    assert ranks == set(range(n))
+
+
+def test_zipf_draws_unchanged_for_three_keys():
+    """The n <= 2 guard must not move the draws of larger key spaces."""
+    gen = ZipfianGenerator(3, rng=random.Random(7))
+    assert [gen.next_rank() for _ in range(24)] == [
+        0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 1, 2, 1, 0, 2, 0,
+        2, 0]
+    assert gen.zetan == 1.840493339007644
+    assert gen.eta == 0.02209823668285601
+
+
 def test_zipf_param_validation():
     with pytest.raises(ValueError):
         ZipfianGenerator(0)
@@ -79,6 +96,19 @@ def test_latest_generator_grow():
         assert gen.grow() == expect
     assert gen.n == 30
     assert all(0 <= gen.next_index() < 30 for _ in range(100))
+
+
+def test_latest_generator_grows_from_one_key():
+    """The first rebuild (1 -> 2 keys) once divided by zero."""
+    gen = LatestGenerator(1, rng=random.Random(8))
+    assert gen.grow() == 1
+    assert gen.grow() == 2
+    assert all(0 <= gen.next_index() < 3 for _ in range(100))
+
+
+def test_ycsb_d_stream_from_one_key_inserts():
+    ops = list(itertools.islice(ycsb_stream("D", 0, 1, 8, seed=1), 400))
+    assert any(verb == "INSERT" for verb, _key, _value in ops)
 
 
 # ---------------------------------------------------------------- micro
