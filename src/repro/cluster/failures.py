@@ -71,16 +71,6 @@ class FailureInjector:
         """Arm a CN rejoin: restart the node and its crashed clients."""
         self.schedule(FailureEvent(at=at, kind="rejoin_cn", node_id=node_id))
 
-    def schedule_nic_degrade(self, at: float, node_id: int,
-                             factor: float) -> None:
-        """Gray failure: multiply one node's NIC costs by *factor*."""
-        self.schedule(FailureEvent(at=at, kind="nic_degrade",
-                                   node_id=node_id, factor=factor))
-
-    def schedule_nic_restore(self, at: float, node_id: int) -> None:
-        self.schedule(FailureEvent(at=at, kind="nic_restore",
-                                   node_id=node_id))
-
     def _fire(self, event: FailureEvent):
         delay = event.at - self.env.now
         if delay > 0:

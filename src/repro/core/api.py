@@ -225,9 +225,6 @@ class AcesoClient:
         if obs is not None and obs.enabled:
             obs.metrics.add("cache.hit" if hit else "cache.miss", 1)
 
-    def _mn_nic(self, node: int):
-        return self.mns[node].nic
-
     def _post_read(self, node: int, offset: int, length: int):
         mn = self.mns[node]
         return self.fabric.post(

@@ -103,12 +103,6 @@ class OpenBlock:
             self.grant.delta_offset + self.size_class.slot_offset(slot),
         )
 
-    def replica_addresses(self, slot: int) -> List[GlobalAddress]:
-        """FUSEE mode: every replica location of one KV slot."""
-        off = self.size_class.slot_offset(slot)
-        return [GlobalAddress(node, base + off)
-                for node, _blk, base in self.grant.replica_locs]
-
 
 class ClientBlockManager:
     """Per-client registry of open blocks, one per size class, plus the

@@ -176,11 +176,6 @@ class AcesoServer:
     # wiring
     # ------------------------------------------------------------------
 
-    @property
-    def is_leader(self) -> bool:
-        alive = [i for i, s in self.servers.items() if s.mn.alive]
-        return bool(alive) and self.node_id == min(alive)
-
     def leader(self) -> "AcesoServer":
         alive = sorted(i for i, s in self.servers.items() if s.mn.alive)
         if not alive:

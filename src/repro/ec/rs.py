@@ -70,12 +70,6 @@ class ReedSolomon:
             out.append(acc)
         return out
 
-    def apply_parity_delta(self, parity: np.ndarray, data_index: int,
-                           parity_index: int, delta: np.ndarray) -> None:
-        """parity ^= coef * delta, in place."""
-        coef = self.parity_matrix[parity_index][data_index]
-        gf_addmul_buffer(parity, coef, delta)
-
     # -- decode ---------------------------------------------------------------
 
     def reconstruct(self, shards: Sequence[Optional[np.ndarray]]

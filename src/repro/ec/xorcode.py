@@ -138,9 +138,6 @@ class XorArrayCode:
 
     # -- flat data mapping -------------------------------------------------------
 
-    def data_cell_count(self) -> int:
-        return len(self.data_cells)
-
     def load_data(self, array: np.ndarray, payload: np.ndarray) -> None:
         """Scatter a flat byte payload into the data cells (layout order)."""
         width = array.shape[2]

@@ -96,12 +96,6 @@ class RaceIndex:
     def write_meta(self, bucket: int, slot: int, field: MetaField) -> None:
         self.region.write_u64(self.meta_offset(bucket, slot), field.pack())
 
-    def read_compact(self, bucket: int, slot: int) -> CompactSlot:
-        return CompactSlot.unpack(self.region.read_u64(self.slot_offset(bucket, slot)))
-
-    def write_compact(self, bucket: int, slot: int, field: CompactSlot) -> None:
-        self.region.write_u64(self.slot_offset(bucket, slot), field.pack())
-
     @property
     def index_version(self) -> int:
         return self.region.read_u64(self.version_offset)
@@ -121,16 +115,6 @@ class RaceIndex:
         words = []
         for s in range(self.bucket_slots):
             off = s * self.slot_size
-            words.append(int.from_bytes(raw[off:off + 8], "little"))
-        return words
-
-    def parse_bucket_meta(self, raw: bytes) -> List[int]:
-        """Meta words of a raw wide-bucket image."""
-        if not self.wide:
-            raise ValueError("compact slots have no Meta field")
-        words = []
-        for s in range(self.bucket_slots):
-            off = s * self.slot_size + 8
             words.append(int.from_bytes(raw[off:off + 8], "little"))
         return words
 

@@ -6,13 +6,10 @@ and a windowed :class:`~.metrics.MetricsCollector`, both stamped with
 obs=Observability(enabled=True))``); a disabled instance is created by
 default so instrumented hot paths cost a single attribute check.
 
-Two always-on companions ride alongside the opt-in tracer:
-
-* the process-wide :mod:`flight <repro.obs.flight>` recorder — a
-  bounded ring of cheap events dumped to ``FLIGHT_*.json`` when an
-  oracle/SLO check fails or an exception escapes the engine;
-* an optional :class:`~.registry.MetricsRegistry` of counters / gauges
-  / histograms with Prometheus-style text exposition.
+An always-on companion rides alongside the opt-in tracer: the
+process-wide :mod:`flight <repro.obs.flight>` recorder — a bounded ring
+of cheap events dumped to ``FLIGHT_*.json`` when an oracle/SLO check
+fails or an exception escapes the engine.
 
 Typical use::
 
@@ -25,8 +22,8 @@ Typical use::
     print(render_report(obs))             # utilization/timeline tables
     write_chrome_trace(obs, "trace.json") # open in Perfetto / chrome://tracing
 
-The metrics window width is a config knob mirroring the scheduler
-selection: ``SimConfig.metrics_window`` <- ``$REPRO_METRICS_WINDOW`` <-
+The metrics window width is a config knob:
+``SimConfig.metrics_window`` <- ``$REPRO_METRICS_WINDOW`` <-
 ``--metrics-window`` on the CLI entry points, resolved here by
 :func:`resolve_metrics_window`.
 """
@@ -37,7 +34,6 @@ import os
 from typing import Dict, Optional, Union
 
 from .metrics import MetricsCollector, TimeSeries
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import NULL_SPAN, Instant, Span, Tracer, traced
 
 __all__ = [
@@ -49,10 +45,6 @@ __all__ = [
     "traced",
     "MetricsCollector",
     "TimeSeries",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "METRICS_WINDOW_ENV",
     "DEFAULT_METRICS_WINDOW",
     "resolve_metrics_window",
@@ -72,7 +64,7 @@ def resolve_metrics_window(
 
     ``None``/""/"auto" reads ``$REPRO_METRICS_WINDOW`` and falls back
     to the 1 ms default; a number (or numeric string) is validated and
-    used as-is.  Mirrors ``repro.sim.sched.resolve_backend``.
+    used as-is.
     """
     if value is None or value == "" or value == "auto":
         value = os.environ.get(METRICS_WINDOW_ENV, "") \
@@ -116,8 +108,6 @@ class Observability:
         self.metrics = MetricsCollector(env,
                                         window=resolve_metrics_window(window),
                                         enabled=enabled)
-        #: Counter/gauge/histogram registry (text exposition export).
-        self.registry = MetricsRegistry()
         self._env = env
 
     # -- lifecycle -------------------------------------------------------
@@ -144,7 +134,6 @@ class Observability:
     def clear(self) -> "Observability":
         self.tracer.clear()
         self.metrics.clear()
-        self.registry.clear()
         return self
 
     # -- cluster wiring --------------------------------------------------

@@ -249,10 +249,6 @@ class Tracer:
             out.append(span)
         return out
 
-    def span_index(self) -> Dict[int, Span]:
-        """id -> span map over everything recorded so far."""
-        return {span.id: span for span in self.spans}
-
     def children_of(self) -> Dict[Optional[int], List[Span]]:
         """parent-id -> children map (roots under the ``None`` key)."""
         out: Dict[Optional[int], List[Span]] = {}

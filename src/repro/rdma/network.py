@@ -23,15 +23,6 @@ from ..sim import Deferred, Environment, Event
 from .nic import RNIC
 from .verbs import WIRE_HEADER, Opcode, Verb
 
-try:
-    # Compiled fused-verb resolver (liveness check + side-effect
-    # dispatch as one C callable, no closure cells per posted verb).
-    # Gated on the compiled event core's importability, like the
-    # scheduler itself; the closure fallback below is bit-identical.
-    from ..sim.sched._sched_core import VerbFinish as _VerbFinish
-except ImportError:
-    _VerbFinish = None
-
 __all__ = ["Fabric"]
 
 _READ = Opcode.READ
@@ -155,10 +146,6 @@ class Fabric:
         t_done = (t_src if t_src > t_dst else t_dst) + rtt
         execute = verb.execute
 
-        if _VerbFinish is not None:
-            return Deferred(env, t_done,
-                            _VerbFinish(alive, dst_id, execute,
-                                        NodeFailedError))
         return Deferred(env, t_done, partial(_finish, alive, dst_id, execute))
 
     def post_batch(self, src: RNIC, dst: RNIC, verbs: Sequence[Verb],

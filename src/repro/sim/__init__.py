@@ -1,15 +1,7 @@
-"""Discrete-event simulation substrate (engine, schedulers, resources,
+"""Discrete-event simulation substrate (engine, event queue, resources,
 statistics)."""
 
-from .sched import (
-    FLATHEAP_COMPILED,
-    SCHED_CORE_COMPILED,
-    available_backends,
-    make_scheduler,
-    resolve_backend,
-    sched_provenance,
-    use_backend,
-)
+from .sched import sched_provenance
 from .engine import (
     AllOf,
     AnyOf,
@@ -41,11 +33,5 @@ __all__ = [
     "OpStats",
     "StatsRegistry",
     "percentile",
-    "available_backends",
-    "make_scheduler",
-    "resolve_backend",
     "sched_provenance",
-    "use_backend",
-    "FLATHEAP_COMPILED",
-    "SCHED_CORE_COMPILED",
 ]

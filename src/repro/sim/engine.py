@@ -8,26 +8,22 @@ The Aceso reproduction runs every node (client, memory-node server, master)
 as a process on one shared environment.  Simulated time is a float in
 seconds; the engine itself attaches no meaning to the unit.
 
-The event queue itself is pluggable (see :mod:`repro.sim.sched`): the
-``heapq`` reference backend, a calendar queue tuned for the simulator's
-clustered timestamps, a flat-buffer binary heap (compiled to a C event
-core by ``tools/build_sched.py`` when possible), and the size-adaptive
-default all dispatch in bit-identical order — ascending ``(time, seq)``
-with ``seq`` assigned at scheduling time, so same-timestamp events run
-in FIFO (insertion) order.  That tie-break contract is load-bearing
-for determinism and is pinned by the differential suites in
-``tests/``; :meth:`Environment.run` leans on it to drain whole
-same-timestamp runs per scheduler call (batched dispatch).  One
-consequence: scheduling an event *earlier* than the timestamp
-currently dispatching is unsupported (simulated time never goes
-backwards; ``Timeout`` already rejects negative delays).
+The event queue (:mod:`repro.sim.sched`) is a binary heap that
+dispatches in ascending ``(time, seq)`` order, with ``seq`` assigned at
+scheduling time, so same-timestamp events run in FIFO (insertion)
+order.  That tie-break contract is load-bearing for determinism;
+:meth:`Environment.run` leans on it to drain whole same-timestamp runs
+per queue call (batched dispatch).  One consequence: scheduling an
+event *earlier* than the timestamp currently dispatching is
+unsupported (simulated time never goes backwards; ``Timeout`` already
+rejects negative delays).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from .sched import make_scheduler
+from .sched import HeapqScheduler
 
 __all__ = [
     "Environment",
@@ -393,18 +389,12 @@ class AnyOf(Event):
 
 
 class Environment:
-    """Owns simulated time and the event queue.
+    """Owns simulated time and the event queue."""
 
-    ``scheduler`` picks the queue backend by name (see
-    :mod:`repro.sim.sched`); ``None``/"auto" resolves ``$REPRO_SCHEDULER``
-    and falls back to the ``heapq`` reference.  All backends dispatch in
-    bit-identical order, so the choice is a pure performance knob.
-    """
-
-    def __init__(self, scheduler: Optional[str] = None):
+    def __init__(self):
         self.now: float = 0.0
-        #: The scheduler backend; ``sched.name`` identifies it.
-        self.sched = make_scheduler(scheduler)
+        #: The event queue (see :mod:`repro.sim.sched`).
+        self.sched = HeapqScheduler()
         #: Bound push method — the scheduling hot path used by every
         #: event constructor (one attribute lookup saved per schedule).
         self._push = self.sched.push
@@ -471,18 +461,9 @@ class Environment:
         seq order, same-time events scheduled *by* a batch member carry
         higher seqs and so land in the next batch, and a member
         cancelled by an earlier callback has its slot nulled in the
-        live batch list (hence the ``None`` check).  Backends exposing
-        a fused ``run_loop`` (the compiled event core) take the whole
-        loop instead.
+        live batch list (hence the ``None`` check).
         """
-        sched = self.sched
-        run_loop = getattr(sched, "run_loop", None)
-        if run_loop is not None:
-            run_loop(self, until)
-            if until is not None and until > self.now:
-                self.now = until
-            return
-        pop_run = sched.pop_run
+        pop_run = self.sched.pop_run
         if until is None:
             while True:
                 run = pop_run()

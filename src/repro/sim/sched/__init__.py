@@ -1,57 +1,12 @@
-"""Pluggable event-queue backends for the simulation engine.
+"""The simulation engine's event queue.
 
-The engine dispatches every scheduled occurrence through one
-*scheduler*: a priority queue of ``(when, seq, item)`` entries ordered
-by ``(when, seq)``.  ``seq`` is a monotonically increasing integer
-assigned at push time, which is what gives the simulator its FIFO
-tie-break contract: two events scheduled for the same instant dispatch
-in insertion order.  Every backend must honour that contract *exactly*
-— ``tests/test_sched_equivalence.py`` and the fuzz battery in
-``tests/test_sched_fuzz.py`` hold all backends to bit-identical pop
-order against the ``heapq`` reference.
+A binary heap (:mod:`heapq`) of ``(when, seq, item)`` tuples ordered by
+``(when, seq)``.  ``seq`` is a monotonically increasing integer assigned
+at push time, which is what gives the simulator its FIFO tie-break
+contract: two events scheduled for the same instant dispatch in
+insertion order.
 
-Backends
---------
-
-``heapq``
-    The reference: a binary heap of tuples via :mod:`heapq` (C
-    implementation).  O(log n) per operation; unbeatable at small
-    pending populations.
-``calendar``
-    A self-resizing calendar queue with lazily sorted buckets, tuned
-    for the simulator's clustered timestamps (NIC service quanta).
-    O(1) amortised push/pop independent of population — the backend
-    that unlocks hyperscale geometries (tens of thousands of pending
-    events), where the heap's log factor dominates.
-``flatheap``
-    A binary heap over contiguous flat buffers (``double`` times,
-    ``uint64`` seqs, payload slots) — no per-entry tuple objects.
-    Interpreted, the sift loops live in the compile-friendly kernel
-    :mod:`repro.sim.sched._flatheap_core`; when ``tools/build_sched.py``
-    has produced the compiled event core (``_sched_core``, heap storage
-    and the ``run_loop`` dispatch in C) or a mypyc/Cython build of the
-    kernels, those are used instead — gated on importability like the
-    lz4 codec, with the pure-python fallback kept bit-identical.
-``adaptive``
-    The default: an inlined ``heapq`` that migrates wholesale (seqs
-    preserved, via ``adopt``) to the large-population backend — the
-    compiled flatheap core when built, else the calendar queue — the
-    first time the live population reaches ~16 Ki.  Small runs keep
-    heapq's unbeatable constants; paper-scale runs get the flat-profile
-    backend without anyone choosing it by hand.
-
-Selection
----------
-
-``Environment(scheduler=...)`` takes a backend name.  ``None``/"auto"
-resolves the ``REPRO_SCHEDULER`` environment variable and falls back
-to ``adaptive``; :class:`repro.config.SimConfig` carries the same knob
-through cluster construction, and ``--scheduler`` on the CLI entry
-points (``repro.bench``, ``repro.chaos``, ``repro.frontend``,
-``benchmarks/sim_perf.py``) exports it for the whole run, including
-forked ``--jobs`` workers.
-
-Scheduler interface (duck-typed; no ABC so hot paths stay cheap):
+Interface used by :class:`repro.sim.engine.Environment`:
 
 ``push(when, item) -> seq``
     Enqueue ``item`` at time ``when``; returns the entry's seq.
@@ -67,106 +22,121 @@ Scheduler interface (duck-typed; no ABC so hot paths stay cheap):
     Cancel a *pending* entry (caller guarantees ``seq`` has not yet
     dispatched): a member of the current ``pop_run`` batch has its slot
     nulled, anything still queued gets a lazy-deletion tombstone.
-``adopt(entries, next_seq)``
-    Bulk-load ``(when, seq, item)`` entries carrying their original
-    seqs and continue numbering at ``next_seq`` (the adaptive backend's
-    migration path; the heapq reference does not implement it).
 ``len(sched)``
     Live (non-cancelled, un-popped) entry count.
 ``sched.pushes``
     Total entries ever pushed (the engine's event counter).
-
-Backends may additionally expose ``run_loop(env, until)`` — a fused
-dispatch loop the engine prefers over its own (the compiled event core
-runs the whole pop -> ``_run_callbacks`` cycle in C).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Dict, Optional, Tuple
 
-from .adaptive import MIGRATION_TARGET, AdaptiveScheduler
-from .calendar import CalendarScheduler
-from .flatheap import COMPILED as FLATHEAP_COMPILED
-from .flatheap import COMPILED_CLASS as SCHED_CORE_COMPILED
-from .flatheap import FlatHeapScheduler, PyFlatHeapScheduler
-from .heapq_backend import HeapqScheduler
-
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "make_scheduler",
-    "resolve_backend",
-    "use_backend",
-    "sched_provenance",
-    "HeapqScheduler",
-    "CalendarScheduler",
-    "FlatHeapScheduler",
-    "PyFlatHeapScheduler",
-    "AdaptiveScheduler",
-    "MIGRATION_TARGET",
-    "FLATHEAP_COMPILED",
-    "SCHED_CORE_COMPILED",
-]
-
-#: Environment variable consulted by the "auto" resolution.
-ENV_VAR = "REPRO_SCHEDULER"
-
-DEFAULT_BACKEND = "adaptive"
-
-BACKENDS: Dict[str, type] = {
-    "heapq": HeapqScheduler,
-    "calendar": CalendarScheduler,
-    "flatheap": FlatHeapScheduler,
-    "adaptive": AdaptiveScheduler,
-}
+__all__ = ["HeapqScheduler", "sched_provenance"]
 
 
-def available_backends() -> List[str]:
-    """Backend names, reference first (stable order for reports)."""
-    return list(BACKENDS)
+def sched_provenance() -> Dict[str, object]:
+    """Provenance block for BENCH json meta: the event queue in use."""
+    return {"scheduler": "heapq"}
 
 
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve *name* (or "auto"/None -> $REPRO_SCHEDULER -> default)."""
-    if name is None or name == "" or name == "auto":
-        name = os.environ.get(ENV_VAR, "") or DEFAULT_BACKEND
-    name = name.lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown scheduler backend {name!r}; "
-            f"available: {', '.join(BACKENDS)}"
-        )
-    return name
+class HeapqScheduler:
+    """:mod:`heapq` over a list of ``(when, seq, item)`` tuples."""
 
+    __slots__ = ("_heap", "_n", "_cancelled", "_run_items", "_run_seqs")
 
-def make_scheduler(name: Optional[str] = None):
-    """Construct the scheduler backend *name* (resolved as above)."""
-    return BACKENDS[resolve_backend(name)]()
+    def __init__(self):
+        self._heap: list = []
+        self._n = 0
+        self._cancelled: set = set()
+        #: Current ``pop_run`` batch: items list (slots nulled on
+        #: in-batch cancel) and the parallel seq list.
+        self._run_items: list = []
+        self._run_seqs: list = ()
 
+    def push(self, when: float, item) -> int:
+        seq = self._n
+        self._n = seq + 1
+        heappush(self._heap, (when, seq, item))
+        return seq
 
-def use_backend(name: str) -> str:
-    """Select *name* for every Environment built after this call
-    (exported via the environment so forked bench workers inherit it).
-    Returns the resolved name."""
-    resolved = resolve_backend(name)
-    os.environ[ENV_VAR] = resolved
-    return resolved
+    def pop(self, limit: Optional[float] = None) -> Optional[Tuple]:
+        heap = self._heap
+        cancelled = self._cancelled
+        while heap:
+            if limit is not None and heap[0][0] > limit:
+                return None
+            entry = heappop(heap)
+            if cancelled and entry[1] in cancelled:
+                cancelled.discard(entry[1])
+                continue
+            return entry
+        return None
 
+    def pop_run(self, limit: Optional[float] = None) -> Optional[Tuple]:
+        """Drain the whole run of minimum-timestamp entries in one call.
 
-def sched_provenance(name: Optional[str] = None) -> Dict[str, object]:
-    """Provenance block for BENCH json meta: the backend any cluster
-    built under the current selection will use, whether any compiled
-    flat-heap path was importable (``sched_compiled``: the full C event
-    core or at least compiled sift kernels), and — for the adaptive
-    backend — which large-population backend a migration would adopt."""
-    resolved = resolve_backend(name)
-    prov: Dict[str, object] = {
-        "scheduler": resolved,
-        "sched_compiled": FLATHEAP_COMPILED,
-    }
-    if resolved == "adaptive":
-        prov["sched_migration_target"] = MIGRATION_TARGET.name
-    return prov
+        Returns ``(when, items)`` — every live entry scheduled for
+        exactly ``when``, in seq (FIFO) order — or ``None`` when the
+        queue is empty or the minimum is later than ``limit``.  The
+        returned list is *live*: a ``cancel`` for a not-yet-dispatched
+        member of the current run nulls its slot, so dispatch loops
+        must skip ``None`` items.  That keeps batched dispatch
+        bit-identical to one-at-a-time pops, including events cancelled
+        by an earlier same-timestamp callback.
+        """
+        heap = self._heap
+        cancelled = self._cancelled
+        while heap:
+            if limit is not None and heap[0][0] > limit:
+                return None
+            when, seq, item = heappop(heap)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
+                continue
+            items = [item]
+            seqs = [seq]
+            while heap and heap[0][0] == when:
+                _, seq, item = heappop(heap)
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                items.append(item)
+                seqs.append(seq)
+            self._run_items = items
+            self._run_seqs = seqs
+            return (when, items)
+        return None
+
+    def cancel(self, seq: int) -> bool:
+        # An entry already handed out by ``pop_run`` but not yet
+        # dispatched is cancelled in place (its batch slot is nulled);
+        # anything else gets a lazy-deletion tombstone: the entry stays
+        # in the heap but is skipped at pop time (and purged from the
+        # tombstone set as it goes by).
+        seqs = self._run_seqs
+        if seqs:
+            try:
+                i = seqs.index(seq)
+            except ValueError:
+                pass
+            else:
+                items = self._run_items
+                if items[i] is not None:
+                    items[i] = None
+                    return True
+                return False
+        self._cancelled.add(seq)
+        return True
+
+    def __len__(self) -> int:
+        return len(self._heap) - len(self._cancelled)
+
+    def __bool__(self) -> bool:
+        return len(self._heap) > len(self._cancelled)
+
+    @property
+    def pushes(self) -> int:
+        """Total entries ever pushed (the simulator's event counter)."""
+        return self._n

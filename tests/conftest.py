@@ -2,30 +2,65 @@
 
 from __future__ import annotations
 
+from heapq import heappush
+
 import pytest
 
 from repro import aceso_config, fusee_config
 from repro.core.store import AcesoCluster
-from repro.sim import Environment, SCHED_CORE_COMPILED, available_backends
-
-#: Backends the engine suite conforms against.  When the compiled core
-#: owns the ``flatheap`` registry name, the pure-Python kernels are no
-#: longer reachable by name — add a pseudo-backend that injects them
-#: directly so both implementations stay pinned by the same suite.
-ENV_BACKENDS = list(available_backends())
-if SCHED_CORE_COMPILED:
-    ENV_BACKENDS.append("flatheap-py")
+from repro.sim import Environment
+from repro.sim.sched import HeapqScheduler
 
 
-def _make_env(param: str) -> Environment:
-    if param == "flatheap-py":
-        from repro.sim.sched.flatheap import PyFlatHeapScheduler
+class SplitRunScheduler(HeapqScheduler):
+    """A :class:`HeapqScheduler` whose ``pop_run`` hands out at most
+    ``cap`` entries of a same-timestamp run.  The rest go back on the
+    heap under their original seqs and come out on the next call, so
+    ``cap=1`` is one-at-a-time dispatch.  Batched dispatch claims to be
+    indifferent to where a run is split; ``splits`` counts the runs
+    that were."""
 
-        env = Environment(scheduler="heapq")
-        env.sched = PyFlatHeapScheduler()   # swap before any push
+    __slots__ = ("cap", "splits")
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+        self.splits = 0
+
+    def pop_run(self, limit=None):
+        run = super().pop_run(limit)
+        if run is None or len(run[1]) <= self.cap:
+            return run
+        when, items = run
+        cap = self.cap
+        seqs = self._run_seqs
+        for seq, item in zip(seqs[cap:], items[cap:]):
+            heappush(self._heap, (when, seq, item))
+        del items[cap:]
+        del seqs[cap:]
+        self.splits += 1
+        return run
+
+
+#: Ways of dispatching the one event queue.  ``heapq`` is the engine as
+#: shipped (whole runs per ``pop_run``); the others split runs after 1,
+#: 2 or 3 entries.  Their ids are the names of the removed event-queue
+#: backends these slots used to pin, kept so that test ids stay stable.
+DISPATCH_VARIANTS = {
+    "heapq": HeapqScheduler,
+    "flatheap": lambda: SplitRunScheduler(1),
+    "calendar": lambda: SplitRunScheduler(2),
+    "adaptive": lambda: SplitRunScheduler(3),
+}
+
+
+def make_env(variant: str = "heapq") -> Environment:
+    """A fresh Environment whose queue dispatches as ``variant``."""
+    env = Environment()
+    if variant != "heapq":
+        env.sched = DISPATCH_VARIANTS[variant]()   # swap before any push
         env._push = env.sched.push
-        return env
-    return Environment(scheduler=param)
+    return env
 
 
 def small_cluster_kwargs(**overrides):
@@ -53,11 +88,12 @@ def make_fusee(replication_factor: int = 3, **overrides):
     return cluster
 
 
-@pytest.fixture(params=ENV_BACKENDS)
+@pytest.fixture(params=list(DISPATCH_VARIANTS))
 def env(request) -> Environment:
-    """A fresh Environment, parametrized over every scheduler backend so
-    the whole engine suite doubles as a per-backend conformance run."""
-    return _make_env(request.param)
+    """A fresh Environment, parametrized over every dispatch variant so
+    the engine suite checks that splitting same-timestamp runs never
+    changes an outcome."""
+    return make_env(request.param)
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 """Observability v2: causal span graph, latency attribution, flight
-recorder, metrics registry, trend gate (ISSUE 9)."""
+recorder, trend gate."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.errors import ConfigError
 from repro.obs import (
     DEFAULT_METRICS_WINDOW,
     METRICS_WINDOW_ENV,
-    MetricsRegistry,
     Observability,
     obs_provenance,
     resolve_metrics_window,
@@ -362,52 +361,6 @@ def ycsb_fingerprint(seed: int):
                 "total_ops": res.total_ops, "duration": res.duration}
     finally:
         set_seed(0)
-
-
-# ------------------------------------------------------ metrics registry
-
-def test_registry_counter_gauge_histogram_exposition():
-    reg = MetricsRegistry()
-    ops = reg.counter("ops_total", "Completed operations")
-    ops.inc()
-    ops.inc(2.0)
-    depth = reg.gauge("queue_depth", "Pending requests")
-    depth.set(5)
-    depth.dec(2)
-    lat = reg.histogram("op_latency_seconds", "Op latency",
-                        buckets=(1e-6, 1e-3))
-    lat.observe(5e-7)
-    lat.observe(2e-6)
-    lat.observe(1.0)
-    text = reg.exposition()
-    assert "# TYPE ops_total counter" in text
-    assert "ops_total 3" in text
-    assert "queue_depth 3" in text
-    assert 'op_latency_seconds_bucket{le="1e-06"} 1' in text
-    assert 'op_latency_seconds_bucket{le="+Inf"} 3' in text
-    assert "op_latency_seconds_count 3" in text
-    flat = reg.to_dict()
-    assert flat["ops_total"] == 3.0
-
-
-def test_registry_rejects_type_clash_and_negative_counter():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(ValueError):
-        reg.gauge("x")
-    with pytest.raises(ValueError):
-        reg.counter("x").inc(-1)
-    # Same-type re-registration is idempotent.
-    assert reg.counter("x") is reg.counter("x")
-
-
-def test_registry_ingest_counters_sanitises_names():
-    reg = MetricsRegistry()
-    reg.ingest_counters({"commit conflicts": 4.0, "fe.shed": 1.0},
-                        prefix="sim_")
-    flat = reg.to_dict()
-    assert flat["sim_commit_conflicts"] == 4.0
-    assert flat["sim_fe_shed"] == 1.0
 
 
 # ------------------------------------------------- metrics window plumbing

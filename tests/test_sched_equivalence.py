@@ -1,66 +1,54 @@
-"""Differential battery: every scheduler backend is bit-identical.
+"""Differential battery: run splitting never changes an artifact.
 
-The engine's contract (PR 8) is that the event-queue backend is pure
-mechanism — swapping ``heapq`` for the calendar queue or the flat heap
-may change wall-clock speed but must never change a single simulated
-outcome.  These tests run real harness entry points (a fig-runner cell,
-a chaos scenario, a YCSB window) under every backend and require the
-emitted artifacts to match byte-for-byte, modulo the cells measured
-with the *host* clock and the provenance keys that name the backend
-itself.
+:meth:`repro.sim.engine.Environment.run` dispatches whole
+same-timestamp runs per queue call and claims the result is
+bit-identical to one-at-a-time pops.  These tests run real harness
+entry points (a fig-runner cell, a chaos scenario, a YCSB window) under
+every dispatch variant of ``tests.conftest.DISPATCH_VARIANTS`` — the
+shipped queue plus ones that split runs after 1, 2 or 3 entries — and
+require the emitted artifacts to match byte-for-byte, modulo the cells
+measured with the *host* clock.
 
-The per-event ordering contract (FIFO ties, cancellation, limits) is
-fuzzed separately in ``test_sched_fuzz.py``; the engine conformance
-suite (``test_sim_engine.py``) already runs once per backend via the
+The per-entry ordering contract (FIFO ties, in-batch cancels, limits)
+is fuzzed separately in ``test_sched_fuzz.py``; the engine conformance
+suite (``test_sim_engine.py``) already runs once per variant via the
 parametrized ``env`` fixture.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from contextlib import contextmanager
 
 import pytest
 
+import repro.sim.engine as engine
 from repro.bench.common import SCALES, build_cluster, set_seed, ycsb_result
 from repro.bench.parallel import run_targets
 from repro.chaos import run_scenario
 from repro.obs import Observability
-from repro.sim import available_backends, resolve_backend, sched_provenance
-from repro.sim.sched import ENV_VAR
+from tests.conftest import DISPATCH_VARIANTS
 
-BACKENDS = available_backends()
+VARIANTS = list(DISPATCH_VARIANTS)
 
-#: Meta keys that name the active backend — the only part of a bench
-#: artifact allowed to differ between backends.
-_PROVENANCE_KEYS = {"scheduler", "sched_compiled", "sched_migration_target"}
 #: Cells measured with the host clock (see test_determinism).
 _HOST_CLOCK_CELLS = {"test_gbps"}
 
 
 @contextmanager
-def _backend(name: str):
-    """Select *name* via the env var, exactly as ``--scheduler`` does."""
-    old = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = name
+def _variant(name: str):
+    """Make every Environment built inside dispatch as ``name``."""
+    old = engine.HeapqScheduler
+    engine.HeapqScheduler = DISPATCH_VARIANTS[name]
     try:
         yield
     finally:
-        if old is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = old
+        engine.HeapqScheduler = old
 
 
 def _strip_rows(result):
     return [{k: v for k, v in row.items() if k not in _HOST_CLOCK_CELLS}
             for row in result.rows]
-
-
-def _strip_meta(result):
-    return {k: v for k, v in result.meta.items()
-            if k not in _PROVENANCE_KEYS}
 
 
 def _verdict_outcomes(result):
@@ -69,23 +57,14 @@ def _verdict_outcomes(result):
     return [(v["check"], v["ok"]) for v in result.verdicts]
 
 
-# ------------------------------------------------------------ selection
-
-def test_env_var_reaches_provenance():
-    for name in BACKENDS:
-        with _backend(name):
-            assert resolve_backend() == name
-            prov = sched_provenance()
-            assert prov["scheduler"] == name
-            assert isinstance(prov["sched_compiled"], bool)
-
+# ------------------------------------------------------------ provenance
 
 def test_bench_meta_records_backend():
     """Every BENCH json must say which queue produced it."""
-    with _backend("calendar"):
-        run = run_targets(["tab02"], "smoke", seed=2)[0]
-    assert run.result.meta["scheduler"] == "calendar"
-    assert "sched_compiled" in run.result.meta
+    run = run_targets(["tab02"], "smoke", seed=2)[0]
+    assert run.result.meta["scheduler"] == "heapq"
+    assert "sched_compiled" not in run.result.meta
+    assert "sched_migration_target" not in run.result.meta
 
 
 # ---------------------------------------------------- fig-runner cell
@@ -93,19 +72,17 @@ def test_bench_meta_records_backend():
 @pytest.mark.slow
 def test_fig_runner_identical_across_backends():
     """One tab02 smoke cell: identical rows, verdicts and meta under
-    every backend (only the provenance keys may differ)."""
+    every dispatch variant."""
     outs = {}
-    for name in BACKENDS:
-        with _backend(name):
-            run = run_targets(["tab02"], "smoke", seed=5)[0]
-        outs[name] = run.result
-    ref = outs[BACKENDS[0]]
-    for name in BACKENDS[1:]:
+    for name in VARIANTS:
+        with _variant(name):
+            outs[name] = run_targets(["tab02"], "smoke", seed=5)[0].result
+    ref = outs[VARIANTS[0]]
+    for name in VARIANTS[1:]:
         got = outs[name]
         assert _strip_rows(got) == _strip_rows(ref), name
         assert _verdict_outcomes(got) == _verdict_outcomes(ref), name
-        assert _strip_meta(got) == _strip_meta(ref), name
-        assert got.meta["scheduler"] == name
+        assert got.meta == ref.meta, name
 
 
 # ------------------------------------------------------------ chaos
@@ -117,10 +94,10 @@ def _chaos_bytes(seed: int, obs=None) -> bytes:
 
 def test_chaos_report_identical_across_backends():
     """Fault injection, recovery timelines, invariant verdicts: the
-    whole report serialises to the same bytes on every backend."""
+    whole report serialises to the same bytes under every variant."""
     ref = None
-    for name in BACKENDS:
-        with _backend(name):
+    for name in VARIANTS:
+        with _variant(name):
             got = _chaos_bytes(seed=3)
         if ref is None:
             ref = got
@@ -128,10 +105,10 @@ def test_chaos_report_identical_across_backends():
             assert got == ref, name
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("name", VARIANTS)
 def test_tracing_neutral_under_each_backend(name):
-    """Observability stays a pure observer on every backend."""
-    with _backend(name):
+    """Observability stays a pure observer under every variant."""
+    with _variant(name):
         plain = _chaos_bytes(seed=3)
         traced = _chaos_bytes(seed=3, obs=Observability(enabled=True))
     assert plain == traced
@@ -143,8 +120,8 @@ def test_tracing_neutral_under_each_backend(name):
 def test_ycsb_window_identical_across_backends():
     """Full measurement window: per-op latencies, counters, durations."""
     outs = {}
-    for name in BACKENDS:
-        with _backend(name):
+    for name in VARIANTS:
+        with _variant(name):
             set_seed(11)
             try:
                 scale = SCALES["smoke"]
@@ -156,6 +133,6 @@ def test_ycsb_window_identical_across_backends():
                               "duration": res.duration}
             finally:
                 set_seed(0)
-    ref = outs[BACKENDS[0]]
-    for name in BACKENDS[1:]:
+    ref = outs[VARIANTS[0]]
+    for name in VARIANTS[1:]:
         assert outs[name] == ref, name

@@ -1,25 +1,27 @@
-"""Property fuzz: every backend pops in exactly heapq's order.
+"""Property fuzz: batched ``pop_run`` dispatch equals one-at-a-time ``pop``.
 
-Drives randomized op scripts — pushes at mixed timescales (including
-zero-delay and slightly-past timestamps), plain pops, limited pops,
-batched ``pop_run`` drains (with in-batch cancels of not-yet-dispatched
-members, the engine's cancelled-by-an-earlier-same-timestamp-callback
-case), and cancels of live entries — simultaneously through the
-``heapq`` reference scheduler and each alternative backend, asserting
-the two agree op-for-op: same entries in the same order (FIFO ties
-included, since ``seq`` is part of the entry), same ``None`` on limit
-misses, same batch contents and identical live-list mutation on
-in-batch cancel, same live counts, same final drain.
+:meth:`repro.sim.engine.Environment.run` drains whole same-timestamp
+runs per queue call and claims the result is bit-identical to popping
+one entry at a time.  This drives a randomized op script through a
+:class:`~repro.sim.sched.HeapqScheduler` both ways and asserts the two
+dispatch logs — every ``(when, seq, item)`` in order, plus the live
+count at each ``until`` horizon — are equal.
 
-Direct-construction variants cover the pure-Python flatheap even when
-the compiled core owns the ``flatheap`` registry name, and the adaptive
-scheduler at small thresholds so every vector crosses its one-way
-heapq-to-calendar/flatheap migration.
+Each dispatched item acts like an engine callback: it may push new
+entries (zero delays give same-instant FIFO ties), cancel a pending
+entry (on the batched side that is often a not-yet-dispatched member
+of the current batch, whose live slot must be nulled), or reschedule
+one (cancel plus a fresh push, which may land at the same instant and
+must then dispatch after everything already queued there).
 
-Runs property-based when :mod:`hypothesis` is importable (the optional
-test extra); otherwise falls back to a fixed battery of seeded random
-vectors so the differential contract is always enforced, just with less
-adversarial search.
+The same scripts also run through
+:class:`~tests.conftest.SplitRunScheduler`, which cuts same-instant
+runs after a few entries: where a run is split must not matter either.
+A sorted-list model checks ``pop`` itself, and a unit test pins the
+live batch list across later pushes.
+
+Runs a fixed battery of seeded scripts always, plus a property-based
+search when :mod:`hypothesis` is importable.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import random
 
 import pytest
 
-from repro.sim.sched import BACKENDS, make_scheduler
+from repro.sim.sched import HeapqScheduler
+from tests.conftest import DISPATCH_VARIANTS, SplitRunScheduler
 
 try:
     from hypothesis import given, settings
@@ -37,163 +40,175 @@ try:
 except ImportError:            # gated exactly like lz4: degrade, don't skip
     HAVE_HYPOTHESIS = False
 
-ALT_BACKENDS = [name for name in BACKENDS if name != "heapq"]
+#: Delay palette: zero (same-instant ties, in-batch targets), clustered
+#: ns/us steps like NIC service quanta, and ms outliers.
+_DELAYS = (0.0, 0.0, 0.0, 1e-9, 1e-9, 2.5e-9, 1e-6, 1.1e-6, 2e-6, 1e-3)
 
-#: Delay palette: zero (same-timestamp FIFO ties), ns/us clusters the
-#: calendar queue buckets tightly, ms outliers that land in its
-#: overflow heap, and a huge delay that outlives any bucket horizon.
-_DELAYS = (0.0, 0.0, 1e-9, 1e-9, 2.5e-9, 1e-6, 1.1e-6, 2e-6, 1e-3, 10.0)
+#: Variants that split runs (everything but the shipped queue).
+SPLIT_VARIANTS = [name for name in DISPATCH_VARIANTS if name != "heapq"]
 
 
-def _drive(backend: str, rng: random.Random, nops: int, make_tgt=None):
-    """Random op script, applied to reference and target in lockstep.
+def _dispatch_log(seed: int, nops: int, batched: bool,
+                  q: HeapqScheduler = None, burst: int = 0) -> list:
+    """Run the op script for ``seed`` and return its dispatch log.
 
-    ``make_tgt`` overrides registry lookup with a direct constructor
-    (pure-Python flatheap, adaptive at a tiny threshold).  Returns the
-    target so callers can assert post-conditions (e.g. migration).
+    ``batched`` drains with ``pop_run`` (skipping nulled slots, as the
+    engine does); otherwise with ``pop``.  The script's random draws
+    are consumed in dispatch order, so both modes make the same draws
+    exactly as long as they dispatch the same entries in the same order.
+    ``q`` defaults to a fresh :class:`HeapqScheduler`; ``burst`` extra
+    entries start queued at time 0, one long same-instant run.
     """
-    ref = make_scheduler("heapq")
-    tgt = make_tgt() if make_tgt is not None else make_scheduler(backend)
-    now = 0.0
-    live = []                  # seqs believed pending (may lag cancels)
-    seq_of = {}                # item (opno) -> seq, for in-batch cancels
-    for opno in range(nops):
+    rng = random.Random(seed)
+    if q is None:
+        q = HeapqScheduler()
+    pending = {}               # item -> seq of its live queue entry
+    due = {}                   # item -> time of its live queue entry
+    log = []
+    pushed = 0
+
+    def push(when, item=None):
+        nonlocal pushed
+        if item is None:
+            item = pushed
+            pushed += 1
+        pending[item] = q.push(when, item)
+        due[item] = when
+
+    def callback(when, item):
+        for _ in range(rng.choice((0, 1, 1, 2, 2, 3, 3))):
+            if pushed < nops:
+                push(when + rng.choice(_DELAYS))
         r = rng.random()
-        if r < 0.50 or not live:
-            # Mix relative pushes with absolute ones, including
-            # timestamps slightly in the past (the engine never emits
-            # those, but the queue contract clamps them like heapq).
-            delay = rng.choice(_DELAYS) * (1.0 + rng.random())
-            when = now + delay if r < 0.40 else max(0.0, now - 1e-9) + delay
-            s1 = ref.push(when, opno)
-            s2 = tgt.push(when, opno)
-            assert s1 == s2, f"{backend}: seq diverged at op {opno}"
-            live.append(s1)
-            seq_of[opno] = s1
-        elif r < 0.72:
-            limit = None if rng.random() < 0.7 else \
-                now + rng.choice(_DELAYS)
-            e1 = ref.pop(limit)
-            e2 = tgt.pop(limit)
-            assert e1 == e2, (f"{backend}: pop(limit={limit}) diverged "
-                              f"at op {opno}: {e1} != {e2}")
-            if e1 is not None:
-                now = e1[0]
-                if e1[1] in live:
-                    live.remove(e1[1])
-        elif r < 0.88:
-            limit = None if rng.random() < 0.7 else \
-                now + rng.choice(_DELAYS)
-            b1 = ref.pop_run(limit)
-            b2 = tgt.pop_run(limit)
-            assert b1 == b2, (f"{backend}: pop_run(limit={limit}) "
-                              f"diverged at op {opno}: {b1} != {b2}")
-            if b1 is not None:
-                now = b1[0]
-                for item in b1[1]:
-                    seq = seq_of[item]
-                    if seq in live:
-                        live.remove(seq)
-                # The engine's tricky case: an earlier same-timestamp
-                # callback cancels a later batch member.  Both live
-                # lists must null the same slot, and a second cancel of
-                # the same member must report False on both.
-                if len(b1[1]) > 1 and rng.random() < 0.6:
-                    i = rng.randrange(len(b1[1]))
-                    seq = seq_of[b1[1][i]]
-                    c1 = ref.cancel(seq)
-                    c2 = tgt.cancel(seq)
-                    assert c1 == c2 is True, \
-                        f"{backend}: in-batch cancel diverged at {opno}"
-                    assert b1[1] == b2[1] and b1[1][i] is None, \
-                        f"{backend}: batch slot mutation diverged"
-                    if rng.random() < 0.3:
-                        assert ref.cancel(seq) == tgt.cancel(seq) is False
-        else:
-            seq = live.pop(rng.randrange(len(live)))
-            assert ref.cancel(seq) == tgt.cancel(seq)
-        assert len(ref) == len(tgt), f"{backend}: len diverged at {opno}"
-    # Drain both completely: global order must match to the last entry.
+        if r < 0.7 and pending:
+            # Favour victims due at this very instant: on the batched
+            # side those are mostly members of the batch in flight.
+            now = [i for i in sorted(pending) if due[i] == when]
+            victim = rng.choice(now if now and rng.random() < 0.5
+                                else sorted(pending))
+            if r < 0.35:
+                assert q.cancel(pending.pop(victim)) is True
+            else:              # Deferred.reschedule: cancel + fresh push
+                q.cancel(pending[victim])
+                push(when + rng.choice(_DELAYS), victim)
+
+    for _ in range(burst):
+        push(0.0)
+    for _ in range(8 + rng.randrange(8)):
+        push(rng.choice(_DELAYS))
+    horizon = 0.0
     while True:
-        e1 = ref.pop()
-        e2 = tgt.pop()
-        assert e1 == e2, f"{backend}: drain diverged: {e1} != {e2}"
-        if e1 is None:
-            break
-    return tgt
+        horizon += rng.choice((1e-9, 1e-6, 2e-6, 5e-6, 1e-4))
+        if batched:
+            while True:
+                run = q.pop_run(horizon)
+                if run is None:
+                    break
+                when, items = run
+                for item in items:
+                    if item is not None:
+                        log.append((when, pending.pop(item), item))
+                        callback(when, item)
+        else:
+            while True:
+                entry = q.pop(horizon)
+                if entry is None:
+                    break
+                when, seq, item = entry
+                assert pending.pop(item) == seq, "stale entry dispatched"
+                log.append(entry)
+                callback(when, item)
+        log.append(("horizon", horizon, len(q)))
+        if not q:
+            assert not pending
+            return log
 
 
-# ------------------------------------------------- fixed-vector battery
+def _check(seed: int, nops: int, variant: str = "heapq") -> None:
+    one_at_a_time = _dispatch_log(seed, nops, batched=False)
+    batched = _dispatch_log(seed, nops, batched=True,
+                            q=DISPATCH_VARIANTS[variant]())
+    assert batched == one_at_a_time
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 42, 1234])
+def test_pop_run_matches_pop(seed):
+    _check(seed, nops=3000)
+
+
+@pytest.mark.parametrize("backend", SPLIT_VARIANTS)
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42, 1234])
 def test_fixed_vectors(backend, seed):
-    _drive(backend, random.Random(seed), nops=3000)
+    _check(seed, nops=3000, variant=backend)
 
 
-@pytest.mark.parametrize("backend", ALT_BACKENDS)
+@pytest.mark.parametrize("backend", SPLIT_VARIANTS)
 def test_deep_vector_crosses_rebuilds(backend):
-    """Enough ops to push the calendar queue through sampling, growth
-    rebuilds, bucket rotation and shrink."""
-    _drive(backend, random.Random(99), nops=20_000)
-
-
-# ------------------------------------- direct-construction variants
-
-@pytest.mark.parametrize("seed", [0, 7, 42])
-def test_pure_python_flatheap_matches_heapq(seed):
-    """When the compiled core owns the ``flatheap`` registry name, the
-    pure-Python kernels are no longer reachable through BACKENDS — pin
-    them against the oracle by constructing the class directly."""
-    from repro.sim.sched.flatheap import PyFlatHeapScheduler
-    _drive("flatheap-py", random.Random(seed), nops=3000,
-           make_tgt=PyFlatHeapScheduler)
+    """One long script: the queue grows, drains and regrows many times."""
+    _check(99, nops=20_000, variant=backend)
 
 
 @pytest.mark.parametrize("threshold", [1, 8, 64])
 @pytest.mark.parametrize("seed", [0, 42])
 def test_adaptive_crosses_migration(threshold, seed):
-    """Tiny thresholds force the one-way heapq->bulk migration inside
-    every vector; order, batches and cancels must survive the handoff
-    (``adopt`` preserves seq numbering exactly)."""
-    from repro.sim.sched.adaptive import AdaptiveScheduler
-    tgt = _drive(f"adaptive@{threshold}", random.Random(seed), nops=3000,
-                 make_tgt=lambda: AdaptiveScheduler(threshold=threshold))
-    assert tgt.migrated, "vector never crossed the migration threshold"
+    """Runs split after ``threshold`` entries: a 100-entry burst at time
+    0 guarantees runs longer than that, and the dispatch log must not
+    notice the split."""
+    q = SplitRunScheduler(threshold)
+    batched = _dispatch_log(seed, 3000, batched=True, q=q, burst=100)
+    assert batched == _dispatch_log(seed, 3000, batched=False, burst=100)
+    assert q.splits, "no run was long enough to split"
 
 
 def test_adaptive_in_batch_cancel_across_migration():
-    """A batch handed out pre-migration stays cancellable after pushes
-    trigger the migration: the adaptive wrapper still owns those slots
-    even though the pending set now lives in the bulk backend."""
-    from repro.sim.sched import make_scheduler
-    from repro.sim.sched.adaptive import AdaptiveScheduler
-    ref = make_scheduler("heapq")
-    tgt = AdaptiveScheduler(threshold=8)
-    seqs = []
-    for i in range(3):
-        ref.push(1.0, i)
-        seqs.append(tgt.push(1.0, i))
-    b1 = ref.pop_run()
-    b2 = tgt.pop_run()
-    assert b1 == b2 == (1.0, [0, 1, 2])
-    assert not tgt.migrated
-    for i in range(20):        # cross the threshold while batch is live
-        ref.push(2.0 + i * 1e-9, 100 + i)
-        tgt.push(2.0 + i * 1e-9, 100 + i)
-    assert tgt.migrated
-    assert ref.cancel(seqs[2]) is tgt.cancel(seqs[2]) is True
-    assert b1[1] == b2[1] == [0, 1, None]
-    assert ref.cancel(seqs[2]) is tgt.cancel(seqs[2]) is False
-    assert len(ref) == len(tgt) == 20
-    while True:
-        e1, e2 = ref.pop(), tgt.pop()
-        assert e1 == e2
-        if e1 is None:
-            break
+    """A batch handed out by ``pop_run`` stays cancellable in place
+    after later pushes have grown the heap around it."""
+    q = HeapqScheduler()
+    seqs = [q.push(1.0, i) for i in range(3)]
+    batch = q.pop_run()
+    assert batch == (1.0, [0, 1, 2])
+    for i in range(20):
+        q.push(2.0 + i * 1e-9, 100 + i)
+    assert q.cancel(seqs[2]) is True
+    assert batch[1] == [0, 1, None]
+    assert q.cancel(seqs[2]) is False
+    assert len(q) == 20
+    drained = []
+    while (entry := q.pop()) is not None:
+        drained.append(entry[2])
+    assert drained == [100 + i for i in range(20)]
 
 
-# --------------------------------------------------- hypothesis search
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_pure_python_flatheap_matches_heapq(seed):
+    """``pop`` against a sorted-list model: random pushes (ties
+    included), limited pops and cancels of live entries."""
+    rng = random.Random(seed)
+    q = HeapqScheduler()
+    model = []                 # live (when, seq, item), kept sorted
+    now = 0.0
+    for opno in range(3000):
+        r = rng.random()
+        if r < 0.5 or not model:
+            when = now + rng.choice(_DELAYS) * (1.0 + rng.random())
+            model.append((when, q.push(when, opno), opno))
+            model.sort()
+        elif r < 0.8:
+            limit = None if rng.random() < 0.7 else now + rng.choice(_DELAYS)
+            want = model[0] if limit is None or model[0][0] <= limit \
+                else None
+            assert q.pop(limit) == want, f"pop diverged at op {opno}"
+            if want is not None:
+                model.pop(0)
+                now = want[0]
+        else:
+            victim = model.pop(rng.randrange(len(model)))
+            assert q.cancel(victim[1]) is True
+        assert len(q) == len(model)
+    while model:
+        assert q.pop() == model.pop(0)
+    assert q.pop() is None and not q
+
 
 if HAVE_HYPOTHESIS:
 
@@ -201,5 +216,5 @@ if HAVE_HYPOTHESIS:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            nops=st.integers(min_value=1, max_value=800))
     def test_property_search(seed, nops):
-        for backend in ALT_BACKENDS:
-            _drive(backend, random.Random(seed), nops=nops)
+        for variant in DISPATCH_VARIANTS:
+            _check(seed, nops, variant)
